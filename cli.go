@@ -200,7 +200,7 @@ func RunCLI(cfg CLIConfig, w io.Writer) error {
 		// have served reads (including the dump above) from a replica that
 		// trailed the primary; say so rather than let a short table pass as
 		// the whole story. Under lag=0 this cannot happen and stays silent.
-		if rb, ok := backend.(*provrepl.ReplicatedBackend); ok {
+		if rb, ok := provstore.As[*provrepl.ReplicatedBackend](s.BackendStore()); ok {
 			if n := rb.LaggedReads(); n > 0 {
 				fmt.Fprintf(w, "note: %d read(s) served by a replica lagging the primary (read=any, lag=%d); the dump may trail the latest commits\n", n, rb.LagBound())
 			}
@@ -209,7 +209,7 @@ func RunCLI(cfg CLIConfig, w io.Writer) error {
 		// fresh as the horizon the client last observed, so when any read in
 		// this run was answered locally, say so. With caching off (the
 		// default) this stays silent and the dump is byte-identical.
-		if cc, ok := backend.(*provhttp.Client); ok {
+		if cc, ok := provstore.As[*provhttp.Client](s.BackendStore()); ok {
 			if hits, _ := cc.CacheStats(); hits > 0 {
 				fmt.Fprintf(w, "note: %d read(s) served from the client result cache (cache=, horizon-keyed); answers reflect the last observed MaxTid\n", hits)
 			}
@@ -334,24 +334,6 @@ func runPlan(ctx context.Context, s *Session, text string, w io.Writer, analyze 
 	return nil
 }
 
-// sessionAuthority unwraps the session's backend chain (batching layers,
-// size-charging wrappers) to the first store that serves Merkle proofs: a
-// local verified:// AuthBackend, or a cpdb:// client whose daemon does.
-func sessionAuthority(s *Session) (provauth.Authority, error) {
-	var b Backend = s.BackendStore()
-	for b != nil {
-		if a, ok := b.(provauth.Authority); ok {
-			return a, nil
-		}
-		u, ok := b.(interface{ Inner() provstore.Backend })
-		if !ok {
-			break
-		}
-		b = u.Inner()
-	}
-	return nil, errors.New("cpdb: this store serves no proofs; open it via -backend 'verified://?inner=DSN' (or cpdb:// to a daemon that does)")
-}
-
 // runAuthQuery serves the authenticated-store verbs. All three answer about
 // committed state, so buffered writes are pushed down and the open
 // transaction sealed first — otherwise a half-flushed transaction would
@@ -360,9 +342,12 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	auth, err := sessionAuthority(s)
-	if err != nil {
-		return err
+	// The first store under the session's wrappers that serves Merkle
+	// proofs: a local verified:// AuthBackend, or a cpdb:// client whose
+	// daemon does.
+	auth, ok := provstore.As[provauth.Authority](s.BackendStore())
+	if !ok {
+		return errors.New("cpdb: this store serves no proofs; open it via -backend 'verified://?inner=DSN' (or cpdb:// to a daemon that does)")
 	}
 	// The session's Flush drains the batching layer into the authority;
 	// this one makes the authority seal the transaction those writes
@@ -442,33 +427,17 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 	return nil
 }
 
-// sessionTraces unwraps the session's backend chain to the first cpdb://
-// client — traces live in a daemon's ring buffer, so the verb only works
-// against a remote backend.
-func sessionTraces(s *Session) (*provhttp.Client, error) {
-	var b Backend = s.BackendStore()
-	for b != nil {
-		if c, ok := b.(*provhttp.Client); ok {
-			return c, nil
-		}
-		u, ok := b.(interface{ Inner() provstore.Backend })
-		if !ok {
-			break
-		}
-		b = u.Inner()
-	}
-	return nil, errors.New("cpdb: traces live in a daemon's buffer; open the store via -backend cpdb://HOST:PORT (daemon started with -trace-buffer)")
-}
-
 // runTraces serves the "traces [-slow DUR] [ID]" verb: with an ID it fetches
 // that trace — the daemon merges in the halves recorded by any daemon it
 // chains to — and renders the span tree; without one it lists the daemon's
 // buffered traces, newest first, optionally filtered to roots at least
 // -slow long.
 func runTraces(ctx context.Context, s *Session, rest string, w io.Writer) error {
-	cli, err := sessionTraces(s)
-	if err != nil {
-		return err
+	// Traces live in a daemon's ring buffer, so the verb only works against
+	// a cpdb:// client.
+	cli, ok := provstore.As[*provhttp.Client](s.BackendStore())
+	if !ok {
+		return errors.New("cpdb: traces live in a daemon's buffer; open the store via -backend cpdb://HOST:PORT (daemon started with -trace-buffer)")
 	}
 	var minDur time.Duration
 	var id string

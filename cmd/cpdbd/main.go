@@ -182,7 +182,7 @@ func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, ppro
 		log.Printf("cpdbd: tracing last %d traces at http://%s/v1/traces (sample %g)", traceBuffer, ln.Addr(), traceSample)
 	}
 
-	hs := &http.Server{Handler: handler}
+	hs := newHTTPServer(handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -221,6 +221,27 @@ func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, ppro
 	}
 	log.Printf("cpdbd: store flushed and closed")
 	return nil
+}
+
+// Connection timeouts. Without them a client that never finishes its
+// request headers, or parks an idle keep-alive connection, holds that
+// connection forever. Request bodies and response streams stay unbounded:
+// an append batch or a whole-table drain may rightly take minutes. The idle
+// timeout is longer than the cpdb:// client's own (net/http's default 90s),
+// so the client closes an idle connection first and never sends a request
+// on one the daemon is closing.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // logStats prints the final counter snapshot in a stable order — the same

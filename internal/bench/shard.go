@@ -63,7 +63,12 @@ func quickShardSweep() ShardSweepConfig {
 // commit every txnLen ops) through one ShardedTracker into the given
 // backend, and it returns records/second of wall clock.
 func IngestThroughput(backend provstore.Backend, method provstore.Method, w, opsPerW, txnLen int) (float64, error) {
-	tr, err := provstore.NewShardedTracker(method, provstore.Config{Backend: backend}, shardsOf(backend))
+	// One tracker lane per shard, seen through a batching wrapper.
+	lanes := 1
+	if sb, ok := provstore.As[*provstore.ShardedBackend](backend); ok {
+		lanes = sb.NumShards()
+	}
+	tr, err := provstore.NewShardedTracker(method, provstore.Config{Backend: backend}, lanes)
 	if err != nil {
 		return 0, err
 	}
@@ -119,18 +124,6 @@ func ingestWorker(tr *provstore.ShardedTracker, worker, ops, txnLen int) error {
 		}
 	}
 	return nil
-}
-
-// shardsOf returns the lane count to pair with a backend: its shard count
-// when sharded (possibly behind a batching wrapper), 1 otherwise.
-func shardsOf(b provstore.Backend) int {
-	if bb, ok := b.(*provstore.BatchingBackend); ok {
-		b = bb.Inner()
-	}
-	if sb, ok := b.(*provstore.ShardedBackend); ok {
-		return sb.NumShards()
-	}
-	return 1
 }
 
 // buildSweepBackend assembles the backend of one in-memory sweep cell,

@@ -203,7 +203,7 @@ func Ablations(rc RunConfig) ([]*Table, error) {
 		}); err != nil {
 			return nil, err
 		}
-		rows, _ := backend.Inner().Count(context.Background())
+		rows, _ := backend.Unwrap().Count(context.Background())
 		a4.AddRow(fmt.Sprint(elim), fmt.Sprint(rows), ms(meter.Bucket("commit").Avg()))
 	}
 	a4.Note("elimination trades client CPU for smaller commits; on realistic workloads redundancy is rare (paper §3.2.4)")

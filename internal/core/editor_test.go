@@ -282,7 +282,7 @@ func TestConsistencyUnderFaults(t *testing.T) {
 	if !store.Snapshot().Equal(before) {
 		t.Error("target not compensated after failed copy")
 	}
-	cnt, _ := backend.Inner().Count(context.Background())
+	cnt, _ := backend.Unwrap().Count(context.Background())
 	if cnt != 0 {
 		t.Errorf("provenance store has %d rows after failures", cnt)
 	}

@@ -118,8 +118,8 @@ func New(inner provstore.Backend) (*AuthBackend, error) {
 	return a, nil
 }
 
-// Inner returns the wrapped store (unwrap chains and size accounting).
-func (a *AuthBackend) Inner() provstore.Backend { return a.inner }
+// Unwrap returns the authenticated store (see provstore.Walk).
+func (a *AuthBackend) Unwrap() provstore.Backend { return a.inner }
 
 // --- writes ------------------------------------------------------------------
 

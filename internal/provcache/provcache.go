@@ -1,6 +1,6 @@
-// Package provcache provides the shared caching primitives of the read
-// path: a bytes-bounded LRU result cache and an insert-only intern table
-// with a lock-free read path.
+// Package provcache provides the read path's result cache: a
+// bytes-bounded LRU shared by the client result cache, the daemon's page
+// cache and its plan cache.
 //
 // The store's append-only (Tid, Loc) order makes these caches trivially
 // coherent: a committed record is immutable, so any read result is valid

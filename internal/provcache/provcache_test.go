@@ -130,62 +130,3 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatal("cache empty after concurrent load")
 	}
 }
-
-func TestInternSharesValues(t *testing.T) {
-	in := NewIntern[string](8)
-	a := InternString(in, "hello")
-	b := InternString(in, "hel"+"lo")
-	if a != b {
-		t.Fatal("interned strings differ")
-	}
-	if in.Len() != 1 {
-		t.Fatalf("len=%d, want 1", in.Len())
-	}
-}
-
-func TestInternCapStopsInserts(t *testing.T) {
-	in := NewIntern[int](2)
-	in.Put("a", 1)
-	in.Put("b", 2)
-	in.Put("c", 3)
-	if in.Len() != 2 {
-		t.Fatalf("len=%d, want 2 (cap)", in.Len())
-	}
-	if _, ok := in.Get("c"); ok {
-		t.Fatal("insert past cap should have been dropped")
-	}
-	if v, ok := in.Get("a"); !ok || v != 1 {
-		t.Fatal("entry below cap lost")
-	}
-}
-
-func TestInternFirstValueWins(t *testing.T) {
-	in := NewIntern[int](8)
-	in.Put("k", 1)
-	in.Put("k", 2)
-	if v, _ := in.Get("k"); v != 1 {
-		t.Fatalf("Get(k) = %d, want first value 1", v)
-	}
-}
-
-func TestInternConcurrent(t *testing.T) {
-	in := NewIntern[int](1024)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				k := fmt.Sprintf("k%d", i)
-				in.Put(k, i)
-				if v, ok := in.Get(k); ok && v != i {
-					t.Errorf("Get(%s) = %d, want %d", k, v, i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if in.Len() != 300 {
-		t.Fatalf("len=%d, want 300", in.Len())
-	}
-}

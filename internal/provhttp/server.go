@@ -240,9 +240,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Inner returns the published backend (the daemon closes it at shutdown).
-func (s *Server) Inner() provstore.Backend { return s.inner }
-
 // Stats returns a snapshot of the server's counters — total requests,
 // errors, records appended/streamed, per-endpoint request counts — merged
 // with the inner backend's own gauges when it exposes any (a replicated

@@ -1,7 +1,6 @@
 package provhttp
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -20,51 +19,6 @@ import (
 // response byte-identical to a tracing-off daemon's, and the inner daemon
 // merges its own inner hops the same way, so chains of any depth resolve
 // transitively.
-
-// traceFetcher is the capability a remote hop exposes for read-time trace
-// merging — implemented by Client. FetchTrace returns (nil, nil) when the
-// remote end has no trace endpoints or no such trace; absence is normal,
-// not an error.
-type traceFetcher interface {
-	FetchTrace(ctx context.Context, id string) ([]provtrace.Span, error)
-}
-
-// collectTraceFetchers walks the backend chain under b — wrapper Inner()s,
-// sharded fan-out, replicated primary and replicas — and returns every
-// remote hop found. The walk is structural (method-shape interfaces) so
-// this package needs no imports of the composite driver packages. It stops
-// at the first fetcher on each branch: a remote daemon answers for its own
-// chain.
-func collectTraceFetchers(b provstore.Backend, out []traceFetcher) []traceFetcher {
-	if b == nil {
-		return out
-	}
-	if f, ok := b.(traceFetcher); ok {
-		return append(out, f)
-	}
-	if w, ok := b.(interface{ Inner() provstore.Backend }); ok {
-		out = collectTraceFetchers(w.Inner(), out)
-	}
-	if sh, ok := b.(interface {
-		NumShards() int
-		Shard(int) provstore.Backend
-	}); ok {
-		for i := 0; i < sh.NumShards(); i++ {
-			out = collectTraceFetchers(sh.Shard(i), out)
-		}
-	}
-	if rp, ok := b.(interface {
-		Primary() provstore.Backend
-		NumReplicas() int
-		Replica(int) provstore.Backend
-	}); ok {
-		out = collectTraceFetchers(rp.Primary(), out)
-		for i := 0; i < rp.NumReplicas(); i++ {
-			out = collectTraceFetchers(rp.Replica(i), out)
-		}
-	}
-	return out
-}
 
 // handleTraces serves GET /v1/traces: stored trace summaries (no spans),
 // newest first, filtered by ?min_dur= and capped by ?limit=.
@@ -109,17 +63,23 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	for i := range tr.Spans {
 		seen[tr.Spans[i].SpanID] = true
 	}
-	for _, f := range collectTraceFetchers(s.inner, nil) {
-		spans, err := f.FetchTrace(r.Context(), id)
-		if err != nil {
-			continue
+	// Every remote hop under the published store, through wrappers, shards
+	// and replicas. The walk stops at each hop: a remote daemon answers for
+	// its own chain.
+	provstore.Walk(s.inner, func(b provstore.Backend) bool {
+		c, ok := b.(*Client)
+		if !ok {
+			return true
 		}
-		for _, sp := range spans {
-			if !seen[sp.SpanID] {
-				seen[sp.SpanID] = true
-				tr.Spans = append(tr.Spans, sp)
+		if spans, err := c.FetchTrace(r.Context(), id); err == nil {
+			for _, sp := range spans {
+				if !seen[sp.SpanID] {
+					seen[sp.SpanID] = true
+					tr.Spans = append(tr.Spans, sp)
+				}
 			}
 		}
-	}
+		return false
+	})
 	writeJSON(w, tr)
 }

@@ -95,43 +95,51 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/path"
 	"repro/internal/provauth"
-	"repro/internal/provcache"
 	"repro/internal/provplan"
 	"repro/internal/provstore"
 )
 
 // The decode hot path of a drain parses one Loc (and often one Src) per
-// NDJSON line. Real provenance streams repeat a small vocabulary of
-// locations and edge labels millions of times, so two intern layers sit
-// under the codec: whole canonical strings map to their already-parsed
-// Path (zero parsing, zero allocation on a hit), and on a whole-path miss
-// the individual labels are interned so distinct paths still share label
-// storage. Reads are lock-free (provcache.Intern); the tables are capped,
-// and an unseen path past the cap simply parses the ordinary way.
-var (
-	wirePathIntern = provcache.NewIntern[path.Path](8192)
-	wireSegIntern  = provcache.NewIntern[string](4096)
-)
+// NDJSON line. Provenance streams repeat a small vocabulary of edge labels,
+// so decoded paths share one copy of each label: a decoded record does not
+// keep its own line's text alive, and equal labels compare by pointer. The
+// table is capped because the labels come off the network: past
+// maxWireLabels, unseen labels keep their own copies.
+const maxWireLabels = 4096
 
-// internSegment returns the canonical shared copy of one edge label.
-func internSegment(l string) string { return provcache.InternString(wireSegIntern, l) }
+var wireLabels = struct {
+	sync.RWMutex
+	m map[string]string
+}{m: make(map[string]string)}
 
-// parseWirePath parses a canonical path string from the wire through the
-// intern layers. Parsed paths are immutable, so sharing one Path value
-// across records and goroutines is safe.
+// shareLabel returns the table's copy of one edge label, adding l while
+// the table has room.
+func shareLabel(l string) string {
+	wireLabels.RLock()
+	v, ok := wireLabels.m[l]
+	wireLabels.RUnlock()
+	if ok {
+		return v
+	}
+	wireLabels.Lock()
+	defer wireLabels.Unlock()
+	if v, ok := wireLabels.m[l]; ok {
+		return v
+	}
+	if len(wireLabels.m) < maxWireLabels {
+		wireLabels.m[l] = l
+	}
+	return l
+}
+
+// parseWirePath parses a canonical path string from the wire, sharing its
+// labels through the label table.
 func parseWirePath(s string) (path.Path, error) {
-	if p, ok := wirePathIntern.Get(s); ok {
-		return p, nil
-	}
-	p, err := path.ParseWith(s, internSegment)
-	if err != nil {
-		return path.Root, err
-	}
-	wirePathIntern.Put(s, p)
-	return p, nil
+	return path.ParseWith(s, shareLabel)
 }
 
 // Authentication headers on proven streams: the one root every "p" proof

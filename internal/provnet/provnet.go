@@ -37,8 +37,8 @@ func New(inner provstore.Backend, write, read Caller) *ChargedBackend {
 	return &ChargedBackend{inner: inner, write: write, read: read}
 }
 
-// Inner returns the wrapped backend.
-func (b *ChargedBackend) Inner() provstore.Backend { return b.inner }
+// Unwrap returns the charged backend (see provstore.Walk).
+func (b *ChargedBackend) Unwrap() provstore.Backend { return b.inner }
 
 func recordsBytes(recs []provstore.Record) int {
 	n := 0

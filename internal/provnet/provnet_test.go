@@ -38,7 +38,7 @@ func TestChargesWritePerBatch(t *testing.T) {
 	if clock.Now() < 80*time.Millisecond {
 		t.Errorf("clock = %v", clock.Now())
 	}
-	n, _ := b.Inner().Count(context.Background())
+	n, _ := b.Unwrap().Count(context.Background())
 	if n != 3 {
 		t.Errorf("inner count = %d", n)
 	}
@@ -93,7 +93,7 @@ func TestFaultAbortsBeforeWrite(t *testing.T) {
 	if !errors.Is(err, netsim.ErrNetwork) {
 		t.Fatalf("want ErrNetwork, got %v", err)
 	}
-	n, _ := b.Inner().Count(context.Background())
+	n, _ := b.Unwrap().Count(context.Background())
 	if n != 0 {
 		t.Error("failed round trip reached the store")
 	}

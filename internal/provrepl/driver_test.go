@@ -21,8 +21,8 @@ func TestDriverOpen(t *testing.T) {
 		t.Fatalf("OpenDSN returned %T, want *ReplicatedBackend", b)
 	}
 	defer rb.Close()
-	if rb.NumReplicas() != 2 {
-		t.Errorf("NumReplicas = %d, want 2", rb.NumReplicas())
+	if len(rb.replicas) != 2 {
+		t.Errorf("%d replicas, want 2", len(rb.replicas))
 	}
 	if rb.ReadPolicy() != ReadAny {
 		t.Errorf("ReadPolicy = %v, want any", rb.ReadPolicy())
@@ -35,8 +35,8 @@ func TestDriverOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, rb)
-	for i := 0; i < rb.NumReplicas(); i++ {
-		n, err := rb.Replica(i).Count(ctx)
+	for i, r := range rb.replicas {
+		n, err := r.store.Count(ctx)
 		if err != nil || n != 1 {
 			t.Errorf("replica %d count = %d, %v; want 1", i, n, err)
 		}
@@ -52,8 +52,8 @@ func TestDriverOpenSharded(t *testing.T) {
 	}
 	rb := b.(*ReplicatedBackend)
 	defer rb.Close()
-	if _, ok := rb.Primary().(*provstore.ShardedBackend); !ok {
-		t.Fatalf("primary is %T, want *ShardedBackend", rb.Primary())
+	if _, ok := rb.primary.(*provstore.ShardedBackend); !ok {
+		t.Fatalf("primary is %T, want *ShardedBackend", rb.primary)
 	}
 }
 

@@ -231,14 +231,14 @@ func (b *ReplicatedBackend) ObsRegistries() []*provobs.Registry {
 	return append([]*provobs.Registry{b.obs}, provobs.SourceRegistries(b.primary)...)
 }
 
-// Primary exposes the primary store (for tests and size accounting).
-func (b *ReplicatedBackend) Primary() provstore.Backend { return b.primary }
-
-// NumReplicas returns the number of replicas.
-func (b *ReplicatedBackend) NumReplicas() int { return len(b.replicas) }
-
-// Replica exposes one replica store (for tests and verification dumps).
-func (b *ReplicatedBackend) Replica(i int) provstore.Backend { return b.replicas[i].store }
+// Unwrap returns the primary followed by the replicas (see provstore.Walk).
+func (b *ReplicatedBackend) Unwrap() []provstore.Backend {
+	out := []provstore.Backend{b.primary}
+	for _, r := range b.replicas {
+		out = append(out, r.store)
+	}
+	return out
+}
 
 // ReadPolicy returns the configured read routing policy.
 func (b *ReplicatedBackend) ReadPolicy() ReadPolicy { return b.opts.Read }

@@ -127,8 +127,8 @@ func NewBatching(inner Backend, size int) *BatchingBackend {
 // BatchSize returns the configured flush threshold.
 func (b *BatchingBackend) BatchSize() int { return b.size }
 
-// Inner returns the wrapped store.
-func (b *BatchingBackend) Inner() Backend { return b.inner }
+// Unwrap returns the buffered store (see Walk).
+func (b *BatchingBackend) Unwrap() Backend { return b.inner }
 
 // Append implements Backend: the batch is validated and enqueued, and the
 // buffer is flushed once it holds at least BatchSize records.

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"iter"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -127,6 +128,9 @@ func (b *ShardedBackend) NumShards() int { return len(b.shards) }
 
 // Shard exposes one underlying shard store (for tests and size accounting).
 func (b *ShardedBackend) Shard(i int) Backend { return b.shards[i] }
+
+// Unwrap returns the shard stores in shard order (see Walk).
+func (b *ShardedBackend) Unwrap() []Backend { return slices.Clone(b.shards) }
 
 // shardFor routes one location.
 func (b *ShardedBackend) shardFor(loc path.Path) Backend {

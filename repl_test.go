@@ -94,14 +94,15 @@ func TestSessionCloseConvergesReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	want, err := provstore.CollectScan(rb.Primary().ScanAll(ctx))
+	stores := rb.Unwrap() // the primary, then the replica
+	want, err := provstore.CollectScan(stores[0].ScanAll(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("primary empty after the golden workload")
 	}
-	got, err := provstore.CollectScan(rb.Replica(0).ScanAll(ctx))
+	got, err := provstore.CollectScan(stores[1].ScanAll(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,10 +134,10 @@ func benchStore(b testing.TB, backend cpdb.Backend) int {
 // TestRemoteDrainAllocBound bounds the decode cost of the remote drain hot
 // path: draining the 4000-record bench store over a live cpdb:// connection
 // must stay under a loose per-record allocation budget. The NDJSON decoder
-// interns path strings and segments, so a warm drain re-uses one shared
-// Path per distinct location instead of reallocating labels per record; the
-// bound has generous headroom (JSON tokenizing allocates) and exists to
-// catch order-of-magnitude regressions, not to pin an exact count.
+// shares edge labels through a capped table, so a warm drain allocates the
+// label slice of each path but not its labels; the bound has generous
+// headroom (JSON tokenizing allocates) and exists to catch
+// order-of-magnitude regressions, not to pin an exact count.
 func TestRemoteDrainAllocBound(t *testing.T) {
 	inner := provstore.NewMemBackend()
 	total := benchStore(t, inner)
@@ -160,7 +160,7 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 			t.Fatalf("drained %d of %d", n, total)
 		}
 	}
-	drain() // warm the connection and the intern tables
+	drain() // warm the connection and the label table
 	perRecord := testing.AllocsPerRun(3, drain) / float64(total)
 	const maxAllocsPerRecord = 12
 	if perRecord > maxAllocsPerRecord {
